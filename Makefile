@@ -15,9 +15,9 @@ bench:
 bench-read:
 	go run ./cmd/mystore-bench -quick -seed 42 -json BENCH_results.json read_path
 
-# bench-repair runs the A9 repair ablation (Merkle anti-entropy + streamed
-# transfer vs the seed's flat digests + item-at-a-time movement, one diskless
-# crash on a loaded cluster) at a fixed seed and records its rows under
+# bench-repair runs the A9 repair study (Merkle anti-entropy + streamed
+# transfer recovering one diskless crash on a loaded cluster, then foreground
+# reads under throttled repair) at a fixed seed and records its numbers under
 # "repair" in BENCH_results.json.
 bench-repair:
 	go run ./cmd/mystore-bench -quick -seed 42 -json BENCH_results.json repair

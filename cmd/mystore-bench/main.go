@@ -12,9 +12,8 @@
 // replica for the full quorum-first/hedged/coalesced path against each
 // piece ablated, plus the hot-key coalescing bound. The repair experiment
 // is the A9 study: crash recovery time, reconciliation metadata and bytes
-// moved for Merkle anti-entropy with streamed transfer against the seed's
-// flat digests with item-at-a-time movement, plus foreground read p99
-// under bandwidth-throttled repair. The storage experiment is the A10
+// moved by Merkle anti-entropy with streamed transfer, plus foreground read
+// p99 under bandwidth-throttled repair. The storage experiment is the A10
 // study: restart cost with a checkpointed WAL vs full-history replay,
 // resident heap for a dataset ~10x the memtable budget, and foreground
 // read p99 during rate-limited background compaction. The consensus

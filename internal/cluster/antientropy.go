@@ -10,7 +10,6 @@ import (
 	"mystore/internal/nwr"
 	"mystore/internal/ring"
 	"mystore/internal/trace"
-	"mystore/internal/transport"
 )
 
 // Active anti-entropy: the paper's future-work direction of "solving
@@ -23,14 +22,10 @@ import (
 // A round walks the two trees top-down — O(log leaves) hashes per level —
 // so a converged pair settles after ONE root comparison, and a diverged
 // pair localizes the damage to individual leaf ranges whose keys are then
-// reconciled bidirectionally and moved in streamed batches. The flat
-// digest exchange (every shared record digested per round) survives behind
-// Config.DisableMerkleAE as the ablation baseline.
+// reconciled bidirectionally and moved in streamed batches.
 
 // Message types of the anti-entropy protocol.
 const (
-	// MsgAntiEntropy carries one flat digest batch (baseline path).
-	MsgAntiEntropy = "node.ae.digest"
 	// MsgAEChildren asks a peer for its tree-node hashes at one level
 	// (the Merkle descent step).
 	MsgAEChildren = "node.ae.children"
@@ -39,9 +34,6 @@ const (
 )
 
 const (
-	// aeBatchLimit bounds keys per flat round so a round stays cheap under
-	// load (baseline path only).
-	aeBatchLimit = 512
 	// maxAEFrontier bounds tree indexes per descent RPC; a wider divergence
 	// frontier is truncated and picked up again next round.
 	maxAEFrontier = 256
@@ -225,10 +217,6 @@ func (n *Node) AntiEntropyRound(ctx context.Context) (pushed, pulled int) {
 	peer := n.pickAEPeer()
 	if peer == "" {
 		return 0, 0
-	}
-	if n.cfg.DisableMerkleAE {
-		n.aeFallbackRounds.Add(1)
-		return n.flatAntiEntropyRound(ctx, peer)
 	}
 	return n.merkleAntiEntropyRound(ctx, peer)
 }
@@ -487,22 +475,9 @@ func (n *Node) handleAELeaf(body bson.D) (bson.D, error) {
 
 // pullRecords fetches keys' records from peer — paged stream.fetch calls
 // bounded by the batch byte budget — and merges them last-write-wins.
-// DisableStreamTransfer degrades to one read RPC per key (baseline).
 func (n *Node) pullRecords(ctx context.Context, peer string, keys []string) (pulled int) {
 	if len(keys) == 0 {
 		return 0
-	}
-	if n.cfg.DisableStreamTransfer {
-		for _, k := range keys {
-			rec, found, err := n.coord.ReadReplicaFrom(ctx, peer, k)
-			if err != nil || !found {
-				continue
-			}
-			if n.coord.ApplyLocalCtx(ctx, rec) == nil {
-				pulled++
-			}
-		}
-		return pulled
 	}
 	budget := int64(n.cfg.StreamBatchBytes)
 	if budget <= 0 {
@@ -567,19 +542,10 @@ func (n *Node) pullRecords(ctx context.Context, peer string, keys []string) (pul
 	return pulled
 }
 
-// pushRecords ships recs to peer in streamed batches (or one write RPC per
-// record under DisableStreamTransfer).
+// pushRecords ships recs to peer in streamed batches.
 func (n *Node) pushRecords(ctx context.Context, peer string, recs []nwr.Record) (pushed int) {
 	if len(recs) == 0 {
 		return 0
-	}
-	if n.cfg.DisableStreamTransfer {
-		for _, rec := range recs {
-			if n.coord.WriteReplicaTo(ctx, peer, rec) {
-				pushed++
-			}
-		}
-		return pushed
 	}
 	ss := n.newStreamSender(peer)
 	for _, rec := range recs {
@@ -589,150 +555,12 @@ func (n *Node) pushRecords(ctx context.Context, peer string, recs []nwr.Record) 
 	return ss.Sent()
 }
 
-// --- flat baseline (Config.DisableMerkleAE) ---
-
-// flatAntiEntropyRound is the pre-Merkle protocol: digest up to
-// aeBatchLimit shared records, ship the digests, apply the peer's newer
-// versions and push what it asked for. Kept as the A9 ablation baseline.
-// The scan iterates in place (Each) instead of materializing a deep-cloned
-// snapshot of the whole collection.
-func (n *Node) flatAntiEntropyRound(ctx context.Context, peer string) (pushed, pulled int) {
-	var entries []nwr.Record
-	n.store.C(nwr.RecordCollection).Each(func(doc bson.D) bool {
-		rec, err := nwr.RecordFromDoc(doc)
-		if err != nil {
-			return true
-		}
-		if n.consensusGuardsRecord(rec) {
-			return true // log-managed record, leader elsewhere: the log moves it
-		}
-		owners, err := n.ring.Successors(rec.Key, n.cfg.NWR.N)
-		if err != nil {
-			return true
-		}
-		for _, o := range owners {
-			if o == peer {
-				entries = append(entries, rec)
-				break
-			}
-		}
-		return len(entries) < aeBatchLimit
-	})
-	if len(entries) == 0 {
-		return 0, 0
-	}
-	digests := make(bson.A, len(entries))
-	for i, rec := range entries {
-		d := bson.D{
-			{Key: "key", Value: rec.Key},
-			{Key: "ver", Value: rec.Ver},
-			{Key: "origin", Value: rec.Origin},
-		}
-		if rec.Strong {
-			d = append(d, bson.E{Key: "strong", Value: "1"})
-		}
-		digests[i] = d
-		n.aeDigestBytes.Add(int64(len(rec.Key) + len(rec.Origin) + 24))
-	}
-	resp, err := n.tr.Call(ctx, peer, transport.Message{
-		Type: MsgAntiEntropy,
-		Body: bson.D{{Key: "digests", Value: digests}},
-	})
-	if err != nil {
-		return 0, 0
-	}
-	// Apply the peer's newer versions.
-	if v, ok := resp.Get("newer"); ok {
-		if arr, isArr := v.(bson.A); isArr {
-			for _, e := range arr {
-				d, isDoc := e.(bson.D)
-				if !isDoc {
-					continue
-				}
-				rec, err := nwr.RecordFromDoc(d)
-				if err != nil {
-					continue
-				}
-				if n.coord.ApplyLocal(rec) == nil {
-					pulled++
-				}
-			}
-		}
-	}
-	// Push the records the peer asked for, one write RPC per record — the
-	// item-at-a-time movement the streaming path replaces.
-	wantKeys := map[string]bool{}
-	if v, ok := resp.Get("want"); ok {
-		if arr, isArr := v.(bson.A); isArr {
-			for _, e := range arr {
-				if s, isStr := e.(string); isStr {
-					wantKeys[s] = true
-				}
-			}
-		}
-	}
-	for _, rec := range entries {
-		if wantKeys[rec.Key] {
-			if n.coord.WriteReplicaTo(ctx, peer, rec) {
-				pushed++
-			}
-		}
-	}
-	return pushed, pulled
-}
-
-// handleAntiEntropy serves the flat baseline's peer side: compare each
-// digest against local state, return records strictly newer here and the
-// keys wanted from the caller.
-func (n *Node) handleAntiEntropy(body bson.D) (bson.D, error) {
-	var newer bson.A
-	var want bson.A
-	v, _ := body.Get("digests")
-	arr, ok := v.(bson.A)
-	if !ok {
-		return bson.D{}, nil
-	}
-	for _, e := range arr {
-		d, isDoc := e.(bson.D)
-		if !isDoc {
-			continue
-		}
-		key := d.StringOr("key", "")
-		verV, _ := d.Get("ver")
-		ver, _ := verV.(int64)
-		remote := nwr.Record{
-			Key: key, Ver: ver,
-			Origin: d.StringOr("origin", ""),
-			Strong: d.StringOr("strong", "0") == "1",
-		}
-		local, found, err := n.coord.GetLocal(key)
-		if err != nil {
-			continue
-		}
-		if n.consensusGuardsRecord(remote) || (found && n.consensusGuardsRecord(local)) {
-			continue // log-managed record, leader elsewhere: neither offer nor ask
-		}
-		switch {
-		case !found:
-			want = append(want, key)
-		case local.Newer(remote):
-			newer = append(newer, local.ToDoc())
-		case remote.Newer(local):
-			want = append(want, key)
-		}
-	}
-	return bson.D{
-		{Key: "newer", Value: newer},
-		{Key: "want", Value: want},
-	}, nil
-}
-
 // AEStats snapshots the anti-entropy and streaming-transfer counters.
 type AEStats struct {
-	// Rounds counts Merkle rounds initiated; FallbackRounds flat ones.
-	Rounds, FallbackRounds int64
+	// Rounds counts Merkle rounds initiated.
+	Rounds int64
 	// DigestBytes approximates reconciliation metadata shipped (tree hashes
-	// plus key/version digests) — the O(keys) vs O(log keys) comparison.
+	// plus key/version digests).
 	DigestBytes int64
 	// LeavesDiverged counts leaf ranges that needed reconciliation.
 	LeavesDiverged int64
@@ -749,7 +577,6 @@ type AEStats struct {
 func (n *Node) AEStats() AEStats {
 	return AEStats{
 		Rounds:             n.aeRounds.Load(),
-		FallbackRounds:     n.aeFallbackRounds.Load(),
 		DigestBytes:        n.aeDigestBytes.Load(),
 		LeavesDiverged:     n.aeLeavesDiverged.Load(),
 		StreamBatches:      n.streamBatches.Load(),

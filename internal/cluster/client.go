@@ -21,9 +21,9 @@ import (
 // rotates across the nodes it knows, skipping ones that fail.
 //
 // Connect follows the paper's three-step procedure (§5.1): the transport
-// supplies the connection pool, ClientOptions carry the connection
-// parameters, and the version query performs the real connection test — the
-// client is only usable once a node has actually answered.
+// supplies one reused connection per node, ClientOptions carry the
+// connection parameters, and the version query performs the real connection
+// test — the client is only usable once a node has actually answered.
 type Client struct {
 	tr    transport.Transport
 	opts  ClientOptions

@@ -58,17 +58,14 @@ type Config struct {
 	// StoreDir persists the local document store; empty means in-memory.
 	StoreDir string
 	// Store tunes the local document store beyond the directory: WAL
-	// durability and group commit, or the serialized write path for
-	// ablations. Its Dir field is ignored — StoreDir wins.
+	// durability and group commit, and the storage engine. Its Dir field is
+	// ignored — StoreDir wins.
 	Store docstore.Options
 	// GossipInterval is the gossip tick period (default 1s).
 	GossipInterval time.Duration
 	// Breakers tunes the per-peer circuit breakers every replica RPC is
 	// gated on; zero values take the resilience defaults.
 	Breakers resilience.BreakerConfig
-	// DisableBreakers leaves the circuit breakers unwired, so a dead peer
-	// costs a full CallTimeout per attempt again (ablations).
-	DisableBreakers bool
 	// Seed, when non-zero, seeds the node's background-work RNG (anti-entropy
 	// peer selection) so chaos and ablation runs are reproducible. Zero keeps
 	// the process-global RNG.
@@ -80,12 +77,6 @@ type Config struct {
 	RepairBandwidth int64
 	// StreamBatchBytes bounds one node.stream.records batch (default 256 KiB).
 	StreamBatchBytes int
-	// DisableMerkleAE falls back to the flat digest anti-entropy (every shared
-	// record digested per round, aeBatchLimit keys max). Ablations only.
-	DisableMerkleAE bool
-	// DisableStreamTransfer moves records one RPC at a time instead of in
-	// streamed batches (rebalance, re-replication, leaf sync). Ablations only.
-	DisableStreamTransfer bool
 	// Tracer, when non-nil, is this node's trace collector. Transports that
 	// support it (TCP) join incoming on-wire trace ids against it, so a
 	// networked node's spans correlate with the originating gateway trace.
@@ -135,7 +126,7 @@ type Node struct {
 	coord    *nwr.Coordinator
 	cns      *consensus.Manager // nil unless cfg.StrongRanges > 0
 
-	breakers *resilience.BreakerSet // nil when cfg.DisableBreakers
+	breakers *resilience.BreakerSet
 
 	// throttle paces background streaming transfer (nil when unthrottled).
 	throttle *tokenBucket
@@ -154,7 +145,6 @@ type Node struct {
 	aeRounds            atomic.Int64
 	aeDigestBytes       atomic.Int64
 	aeLeavesDiverged    atomic.Int64
-	aeFallbackRounds    atomic.Int64
 	aeRegressions       atomic.Int64
 
 	mu                 sync.Mutex
@@ -175,12 +165,19 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.NWR.Breakers == nil {
+		cfg.NWR.Breakers = resilience.NewBreakerSet(cfg.Breakers)
+	}
+	if cfg.NWR.RetryBudget == nil {
+		cfg.NWR.RetryBudget = resilience.NewRetryBudget(0, 0)
+	}
 	n := &Node{
-		cfg:    cfg,
-		tr:     tr,
-		store:  store,
-		ring:   ring.New(),
-		inRing: map[string]bool{},
+		cfg:      cfg,
+		tr:       tr,
+		store:    store,
+		ring:     ring.New(),
+		inRing:   map[string]bool{},
+		breakers: cfg.NWR.Breakers,
 	}
 	n.throttle = newTokenBucket(cfg.RepairBandwidth, cfg.Now)
 	seed := cfg.Seed
@@ -188,16 +185,6 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 		seed = rand.Int63() // unseeded runs stay random
 	}
 	n.rng = rand.New(rand.NewSource(seed))
-	if !cfg.DisableBreakers {
-		if cfg.NWR.Breakers == nil {
-			cfg.NWR.Breakers = resilience.NewBreakerSet(cfg.Breakers)
-		}
-		n.breakers = cfg.NWR.Breakers
-		if cfg.NWR.RetryBudget == nil {
-			cfg.NWR.RetryBudget = resilience.NewRetryBudget(0, 0)
-		}
-		n.cfg = cfg
-	}
 	n.gossiper = gossip.New(tr, gossip.Config{
 		Seeds:    cfg.Seeds,
 		Interval: cfg.GossipInterval,
@@ -218,16 +205,14 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 	// goes backwards). WAL replay already ran in Open, so the forest starts
 	// unbuilt and the first round's scan covers restart data.
 	store.C(nwr.RecordCollection).SetApplyObserver(n.observeRecordApply)
-	if !cfg.DisableStreamTransfer {
-		// Hint writeback drains a page per streamed batch instead of one
-		// RPC per parked record.
-		n.coord.StreamTo = func(ctx context.Context, target string, recs []nwr.Record) bool {
-			ss := n.newStreamSender(target)
-			for _, rec := range recs {
-				ss.Add(ctx, rec)
-			}
-			return ss.Flush(ctx)
+	// Hint writeback drains a page per streamed batch instead of one RPC per
+	// parked record.
+	n.coord.StreamTo = func(ctx context.Context, target string, recs []nwr.Record) bool {
+		ss := n.newStreamSender(target)
+		for _, rec := range recs {
+			ss.Add(ctx, rec)
 		}
+		return ss.Flush(ctx)
 	}
 	// Join the ring locally and announce capacity through gossip so peers
 	// add us with the right weight.
@@ -467,8 +452,6 @@ func (n *Node) handleMessage(ctx context.Context, msg transport.Message) (bson.D
 		return n.handleQuery(ctx, msg.Body)
 	case MsgQueryLocal:
 		return n.handleQueryLocal(msg.Body)
-	case MsgAntiEntropy:
-		return n.handleAntiEntropy(msg.Body)
 	case MsgAEChildren:
 		return n.handleAEChildren(msg.Body)
 	case MsgAELeaf:

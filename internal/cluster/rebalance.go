@@ -102,27 +102,8 @@ func (n *Node) Rebalance(ctx context.Context) (pushed, dropped int) {
 			incomplete = true
 			continue
 		}
-		recs := perPeer[peer]
-		if n.cfg.DisableStreamTransfer {
-			// Item-at-a-time baseline: one read plus one write RPC per
-			// record needing movement.
-			got := map[string]bool{}
-			for _, rec := range recs {
-				sent, failed := n.ensureReplica(ctx, peer, rec)
-				if sent {
-					pushed++
-				}
-				if failed {
-					incomplete = true
-				} else {
-					got[rec.Key] = true
-				}
-			}
-			confirmed[peer] = got
-			continue
-		}
 		os := n.newOfferSender(peer)
-		for _, rec := range recs {
+		for _, rec := range perPeer[peer] {
 			os.Add(ctx, rec)
 		}
 		got, ok := os.Close(ctx)
@@ -169,22 +150,5 @@ func (n *Node) Rebalance(ctx context.Context) (pushed, dropped int) {
 
 // peerBreakerOpen reports whether peer's circuit breaker is currently open.
 func (n *Node) peerBreakerOpen(peer string) bool {
-	return n.breakers != nil && n.breakers.For(peer).State() == resilience.Open
-}
-
-// ensureReplica pushes rec to owner if the owner lacks it or holds an older
-// version. It reports whether a push happened and succeeded, and whether the
-// owner's state could not be brought current (so the caller retries later).
-func (n *Node) ensureReplica(ctx context.Context, owner string, rec nwr.Record) (sent, failed bool) {
-	cur, found, err := n.coord.ReadReplicaFrom(ctx, owner, rec.Key)
-	if err != nil {
-		return false, true
-	}
-	if found && !rec.Newer(cur) {
-		return false, false // already current
-	}
-	if n.coord.WriteReplicaTo(ctx, owner, rec) {
-		return true, false
-	}
-	return false, true
+	return n.breakers.For(peer).State() == resilience.Open
 }

@@ -41,12 +41,6 @@ type Options struct {
 	// ReadOnly rejects all mutations; slave replicas set this and apply
 	// ops through the replication channel instead.
 	ReadOnly bool
-	// SerializeWritePath reverts to the seed write path: validation, BSON
-	// encoding, WAL append (with its fsync), apply, and the replication
-	// hook all run under one global writeMu. Kept for the write-path
-	// ablation bench; the default path keeps only append+apply under
-	// writeMu.
-	SerializeWritePath bool
 	// Engine selects the storage engine: "map" (default — every decoded
 	// document in memory, snapshot + full WAL replay on restart) or "lsm"
 	// (documents in log-structured SSTables with a memtable in front; the
@@ -278,12 +272,6 @@ func (s *Store) mutateCtx(ctx context.Context, op Op) error {
 	if readOnly {
 		return ErrReadOnly
 	}
-	if s.opts.SerializeWritePath {
-		s.writeMu.Lock()
-		defer s.writeMu.Unlock()
-		return s.commitSerialized(op)
-	}
-
 	// Optimistic pre-check outside the write lock: rejects the common error
 	// cases (duplicate _id, missing update target) without serializing. It
 	// is advisory only — a concurrent writer can invalidate it — so the
@@ -367,42 +355,6 @@ func (s *Store) publish(op Op) {
 	s.pubNext++
 	s.pubCond.Broadcast()
 	s.pubMu.Unlock()
-}
-
-// commitSerialized is the seed write path, kept for the write-path ablation:
-// everything — check, encode, WAL append with fsync, apply, hook — under
-// writeMu. Caller holds writeMu.
-func (s *Store) commitSerialized(op Op) error {
-	// Validate by dry-applying before logging, so the WAL never holds a
-	// rejected op (e.g. a duplicate key insert).
-	if err := s.checkOp(op); err != nil {
-		return err
-	}
-	var lsn wal.LSN
-	if s.log != nil {
-		rec, err := bson.Marshal(encodeOp(op))
-		if err != nil {
-			return err
-		}
-		if lsn, err = s.log.Append(rec); err != nil {
-			return err
-		}
-	}
-	if err := s.applyLocked(op, uint64(lsn)); err != nil {
-		// checkOp guarantees this cannot happen; if it does, the in-memory
-		// state and WAL have diverged and continuing would corrupt data.
-		panic(fmt.Sprintf("docstore: apply after successful check failed: %v", err))
-	}
-	s.seq++
-	op.Seq = s.seq
-	s.pubMu.Lock()
-	hook := s.onOp
-	s.pubNext++ // keep the publish queue consistent with seq
-	s.pubMu.Unlock()
-	if hook != nil {
-		hook(op)
-	}
-	return nil
 }
 
 // ApplyReplicated applies an op received from a master, bypassing the

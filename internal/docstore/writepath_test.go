@@ -177,57 +177,3 @@ func TestConcurrentDuplicateInsertsOneWinner(t *testing.T) {
 		t.Fatalf("replayed %d docs, want 1", n)
 	}
 }
-
-// TestSerializeWritePathEquivalent: the ablation mode must behave like the
-// default path functionally (hook order, persistence), just slower.
-func TestSerializeWritePathEquivalent(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, SerializeWritePath: true, WAL: wal.Options{SyncEveryAppend: true}})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	var hookMu sync.Mutex
-	var seqs []uint64
-	s.SetReplicationHook(func(op Op) {
-		hookMu.Lock()
-		seqs = append(seqs, op.Seq)
-		hookMu.Unlock()
-	})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				doc := bson.D{{Key: "_id", Value: fmt.Sprintf("w%d-%d", w, i)}}
-				if _, err := s.C("c").Insert(doc); err != nil {
-					t.Errorf("Insert: %v", err)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	hookMu.Lock()
-	n := len(seqs)
-	ordered := true
-	for i, seq := range seqs {
-		if seq != uint64(i+1) {
-			ordered = false
-		}
-	}
-	hookMu.Unlock()
-	if n != 80 || !ordered {
-		t.Fatalf("hook saw %d ops (ordered=%v), want 80 in order", n, ordered)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	r, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer r.Close()
-	if got := r.C("c").Len(); got != 80 {
-		t.Fatalf("replayed %d docs, want 80", got)
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mystore"
-	"mystore/internal/bson"
 	"mystore/internal/gossip"
 	"mystore/internal/metrics"
 	"mystore/internal/ring"
@@ -23,7 +22,6 @@ type AblationResult struct {
 	Hints     HintsAblation
 	Cache     CacheAblation
 	Gossip    GossipAblation
-	Pool      PoolAblation
 	WritePath WritePathAblation
 }
 
@@ -40,7 +38,6 @@ func (r AblationResult) String() string {
 	b.WriteString("\n" + r.Hints.String())
 	b.WriteString("\n" + r.Cache.String())
 	b.WriteString("\n" + r.Gossip.String())
-	b.WriteString("\n" + r.Pool.String())
 	b.WriteString("\n" + r.WritePath.String())
 	return b.String()
 }
@@ -325,57 +322,6 @@ func runGossipAblation() GossipAblation {
 	}
 }
 
-// --- A6: connection pool ---
-
-// PoolAblation compares TCP call latency with and without the connection
-// pool (paper §5.1's Connect design).
-type PoolAblation struct {
-	PooledMeanUs   float64
-	UnpooledMeanUs float64
-}
-
-// String renders the study.
-func (a PoolAblation) String() string {
-	return fmt.Sprintf("A6 — connection pool: mean RPC %0.0fµs pooled vs %0.0fµs dialing per call\n",
-		a.PooledMeanUs, a.UnpooledMeanUs)
-}
-
-func runPoolAblation(calls int) (PoolAblation, error) {
-	var a PoolAblation
-	srv, err := transport.ListenTCP("127.0.0.1:0", transport.TCPOptions{})
-	if err != nil {
-		return a, err
-	}
-	defer srv.Close()
-	srv.SetHandler(func(ctx context.Context, msg transport.Message) (bson.D, error) {
-		return bson.D{{Key: "ok", Value: true}}, nil
-	})
-	measure := func(disablePool bool) (float64, error) {
-		cli, err := transport.ListenTCP("127.0.0.1:0", transport.TCPOptions{DisablePool: disablePool})
-		if err != nil {
-			return 0, err
-		}
-		defer cli.Close()
-		ctx := context.Background()
-		h := metrics.NewHistogram()
-		for i := 0; i < calls; i++ {
-			t0 := time.Now()
-			if _, err := cli.Call(ctx, srv.Addr(), transport.Message{Type: "ping"}); err != nil {
-				return 0, err
-			}
-			h.Observe(time.Since(t0))
-		}
-		return float64(h.Mean()) / 1e3, nil
-	}
-	if a.PooledMeanUs, err = measure(false); err != nil {
-		return a, err
-	}
-	if a.UnpooledMeanUs, err = measure(true); err != nil {
-		return a, err
-	}
-	return a, nil
-}
-
 // RunAblations runs every study at the given scale.
 func RunAblations(scale Scale) (AblationResult, error) {
 	scale = scale.withDefaults()
@@ -392,9 +338,6 @@ func RunAblations(scale Scale) (AblationResult, error) {
 		return result, err
 	}
 	result.Gossip = runGossipAblation()
-	if result.Pool, err = runPoolAblation(300); err != nil {
-		return result, err
-	}
 	if result.WritePath, err = RunWritePathAblation(64, scale.PutItems); err != nil {
 		return result, err
 	}

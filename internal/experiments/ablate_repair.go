@@ -19,19 +19,16 @@ import (
 // A loaded 5-node cluster loses one node to a hard crash (diskless, so the
 // replacement boots empty) and the repair machinery — rebalance plus
 // anti-entropy, exactly what each background tick runs — rebuilds the
-// victim's replicas. The same schedule runs under two configurations: the
-// full path (per-peer Merkle forests localize divergence in O(log n)
-// exchanges, records move in size-bounded streamed batches) and the seed
-// path (flat per-record digest exchange, one read+write RPC per record).
+// victim's replicas: per-peer Merkle forests localize divergence in
+// O(log n) exchanges and records move in size-bounded streamed batches.
 // Wall-clock time-to-full-replication and reconciliation metadata volume are
 // the figures of merit; a converged steady-state sweep afterwards shows the
-// O(keys) vs O(log keys) digest cost directly. A separate foreground phase
-// repeats the recovery with the stream throttled and measures client read
-// tail latency during active repair against the quiescent baseline.
+// per-tick digest cost directly. A separate foreground phase repeats the
+// recovery with the stream throttled and measures client read tail latency
+// during active repair against the quiescent baseline.
 
-// RepairRow measures one repair configuration.
+// RepairRow measures one crash recovery.
 type RepairRow struct {
-	Config string
 	// Lost is how many replicas the crashed node held (and must recover).
 	Lost int
 	// RecoveryMs is wall-clock time from the replacement node rejoining to
@@ -41,8 +38,7 @@ type RepairRow struct {
 	// round) the driver ran before the victim was whole.
 	Sweeps int
 	// DigestBytes is reconciliation metadata shipped during recovery;
-	// StreamBytes/StreamRecords the streamed payload volume (zero for the
-	// item-at-a-time baseline, which moves records one RPC each).
+	// StreamBytes/StreamRecords the streamed payload volume.
 	DigestBytes   int64
 	StreamBytes   int64
 	StreamRecords int64
@@ -63,46 +59,23 @@ type RepairForeground struct {
 // RepairAblation is the A9 study.
 type RepairAblation struct {
 	Corpus     int
-	Rows       []RepairRow
+	Recovery   RepairRow
 	Foreground RepairForeground
 }
 
 // String renders the study.
 func (a RepairAblation) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "A9 — repair & recovery, 5 nodes, %d records, one diskless crash\n", a.Corpus)
-	fmt.Fprintf(&b, "  %-22s %6s %12s %7s %12s %12s %14s\n",
-		"config", "lost", "recovery", "sweeps", "digest", "streamed", "steady digest")
-	for _, row := range a.Rows {
-		fmt.Fprintf(&b, "  %-22s %6d %10.0fms %7d %10dB %10dB %12dB\n",
-			row.Config, row.Lost, row.RecoveryMs, row.Sweeps,
-			row.DigestBytes, row.StreamBytes, row.SteadyDigestBytes)
-	}
-	var merkle, flat RepairRow
-	for _, row := range a.Rows {
-		switch row.Config {
-		case "merkle+stream":
-			merkle = row
-		case "flat+item (seed)":
-			flat = row
-		}
-	}
-	if merkle.RecoveryMs > 0 && flat.RecoveryMs > 0 {
-		fmt.Fprintf(&b, "  recovery speedup (seed/full): %.1fx; steady-state digest ratio: %.1fx\n",
-			flat.RecoveryMs/merkle.RecoveryMs,
-			ratioOr1(float64(flat.SteadyDigestBytes), float64(merkle.SteadyDigestBytes)))
-	}
+	fmt.Fprintf(&b, "A9 — repair & recovery (merkle+stream), 5 nodes, %d records, one diskless crash\n", a.Corpus)
+	fmt.Fprintf(&b, "  %6s %12s %7s %12s %12s %14s\n",
+		"lost", "recovery", "sweeps", "digest", "streamed", "steady digest")
+	r := a.Recovery
+	fmt.Fprintf(&b, "  %6d %10.0fms %7d %10dB %10dB %12dB\n",
+		r.Lost, r.RecoveryMs, r.Sweeps, r.DigestBytes, r.StreamBytes, r.SteadyDigestBytes)
 	fmt.Fprintf(&b, "  foreground under %dKB/s-throttled repair: %d reads, p99 %.2fms quiescent vs %.2fms repairing (throttle stalled %.0fms)\n",
 		a.Foreground.BandwidthBps/1024, a.Foreground.Reads,
 		a.Foreground.QuiescentP99ms, a.Foreground.RepairP99ms, a.Foreground.ThrottleWaitMs)
 	return b.String()
-}
-
-func ratioOr1(num, den float64) float64 {
-	if den <= 0 {
-		return 1
-	}
-	return num / den
 }
 
 // sumAEStats totals the anti-entropy/transfer counters across the cluster.
@@ -111,7 +84,6 @@ func sumAEStats(cl *mystore.Cluster) cluster.AEStats {
 	for _, node := range cl.Nodes() {
 		s := node.AEStats()
 		t.Rounds += s.Rounds
-		t.FallbackRounds += s.FallbackRounds
 		t.DigestBytes += s.DigestBytes
 		t.LeavesDiverged += s.LeavesDiverged
 		t.StreamBatches += s.StreamBatches
@@ -202,14 +174,15 @@ func crashAndRecover(cl *mystore.Cluster, victim int) (lost, sweeps int, elapsed
 	return lost, sweeps, time.Since(start), nil
 }
 
-// runRepairConfig measures one configuration's crash recovery.
-func runRepairConfig(name string, opts mystore.ClusterOptions, records int, seed int64) (RepairRow, error) {
-	row := RepairRow{Config: name}
-	opts.Seed = seed
-	opts.LatencyBase = lanBase
-	opts.Bandwidth = lanBandwidth
-	opts.GossipInterval = 50 * time.Millisecond
-	cl, err := loadAndSettle(opts, records, 512)
+// runRepairRecovery measures one crash recovery.
+func runRepairRecovery(records int, seed int64) (RepairRow, error) {
+	var row RepairRow
+	cl, err := loadAndSettle(mystore.ClusterOptions{
+		Seed:           seed,
+		LatencyBase:    lanBase,
+		Bandwidth:      lanBandwidth,
+		GossipInterval: 50 * time.Millisecond,
+	}, records, 512)
 	if err != nil {
 		return row, err
 	}
@@ -238,7 +211,7 @@ func runRepairConfig(name string, opts mystore.ClusterOptions, records int, seed
 	row.SteadyDigestBytes = sumAEStats(cl).DigestBytes - s0.DigestBytes
 
 	if vr := sumAEStats(cl).VersionRegressions; vr != 0 {
-		return row, fmt.Errorf("%s: repair regressed %d record versions", name, vr)
+		return row, fmt.Errorf("repair regressed %d record versions", vr)
 	}
 	return row, nil
 }
@@ -326,19 +299,9 @@ func RunRepairAblation(scale Scale) (RepairAblation, error) {
 	scale = scale.withDefaults()
 	a := RepairAblation{Corpus: scale.PutItems}
 
-	configs := []struct {
-		name string
-		opts mystore.ClusterOptions
-	}{
-		{"merkle+stream", mystore.ClusterOptions{}},
-		{"flat+item (seed)", mystore.ClusterOptions{DisableMerkleAE: true, DisableStreamTransfer: true}},
-	}
-	for _, cfg := range configs {
-		row, err := runRepairConfig(cfg.name, cfg.opts, a.Corpus, scale.Seed)
-		if err != nil {
-			return a, err
-		}
-		a.Rows = append(a.Rows, row)
+	var err error
+	if a.Recovery, err = runRepairRecovery(a.Corpus, scale.Seed); err != nil {
+		return a, err
 	}
 
 	// The foreground phase needs enough data that the throttle bites (the
@@ -348,7 +311,6 @@ func RunRepairAblation(scale Scale) (RepairAblation, error) {
 	if fgRecords < 1000 {
 		fgRecords = 1000
 	}
-	var err error
 	a.Foreground, err = runRepairForeground(fgRecords, a.Corpus*2, 16, scale.Seed)
 	return a, err
 }

@@ -107,6 +107,13 @@ func (a StorageAblation) String() string {
 	return b.String()
 }
 
+func ratioOr1(num, den float64) float64 {
+	if den <= 0 {
+		return 1
+	}
+	return num / den
+}
+
 func restartOps(a StorageAblation) int {
 	if len(a.Restart) > 0 {
 		return a.Restart[0].Ops

@@ -1,69 +1,54 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
 	"mystore/internal/bson"
 	"mystore/internal/docstore"
-	"mystore/internal/transport"
 	"mystore/internal/wal"
 )
 
-// --- A7: the write path (this PR's tentpole) ---
+// --- A7: the write path ---
 //
-// Three independent toggles, ablated one at a time against the full
-// configuration: WAL group commit (vs one fsync per append), the lock-split
-// docstore write path (vs the seed's single global writeMu), and the
-// multiplexed RPC transport (vs one pooled connection per in-flight call).
-
-// WritePathRow measures one docstore configuration under a 64-goroutine
-// durable put storm.
-type WritePathRow struct {
-	Config      string
-	OpsPerSec   float64
-	FsyncsPerOp float64
-	MeanBatch   float64 // records per group fsync (0 when group commit off)
-}
+// A durable put storm against one docstore running the full write path:
+// WAL group commit (concurrent appenders share one fsync) and the lock-split
+// docstore (only append+apply under the write lock).
 
 // WritePathAblation is the A7 study.
 type WritePathAblation struct {
-	Writers int
-	Store   []WritePathRow
-	// Transport throughput, 64 concurrent callers against one echo server.
-	MuxRPS    float64
-	LegacyRPS float64
+	Writers     int
+	OpsPerSec   float64
+	FsyncsPerOp float64
+	MeanBatch   float64 // records per group fsync
 }
 
 // String renders the study.
 func (a WritePathAblation) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "A7 — write path (group commit / lock split / mux), %d writers\n", a.Writers)
-	fmt.Fprintf(&b, "  %-28s %12s %12s %10s\n", "docstore config", "puts/s", "fsyncs/op", "mean batch")
-	for _, row := range a.Store {
-		fmt.Fprintf(&b, "  %-28s %12.0f %12.3f %10.1f\n", row.Config, row.OpsPerSec, row.FsyncsPerOp, row.MeanBatch)
-	}
-	fmt.Fprintf(&b, "  transport: %.0f calls/s multiplexed vs %.0f one-call-per-conn\n", a.MuxRPS, a.LegacyRPS)
-	return b.String()
+	return fmt.Sprintf("A7 — write path (group commit + lock split), %d writers\n  %.0f puts/s, %.3f fsyncs/op, mean batch %.1f\n",
+		a.Writers, a.OpsPerSec, a.FsyncsPerOp, a.MeanBatch)
 }
 
-// runWritePathStoreConfig hammers one durable docstore configuration with
-// writers goroutines and returns its throughput and fsync counters.
-func runWritePathStoreConfig(name string, opts docstore.Options, writers, ops int) (WritePathRow, error) {
-	row := WritePathRow{Config: name}
+// RunWritePathAblation runs the A7 study: writers goroutines insert ops
+// durable 512-byte documents between them.
+func RunWritePathAblation(writers, ops int) (WritePathAblation, error) {
+	if writers <= 0 {
+		writers = 64
+	}
+	if ops <= 0 {
+		ops = 2048
+	}
+	a := WritePathAblation{Writers: writers}
 	dir, err := os.MkdirTemp("", "mystore-ablate-wp-*")
 	if err != nil {
-		return row, err
+		return a, err
 	}
 	defer os.RemoveAll(dir)
-	opts.Dir = dir
-	s, err := docstore.Open(opts)
+	s, err := docstore.Open(docstore.Options{Dir: dir, WAL: wal.Options{SyncEveryAppend: true}})
 	if err != nil {
-		return row, err
+		return a, err
 	}
 	defer s.Close()
 
@@ -99,104 +84,14 @@ func runWritePathStoreConfig(name string, opts docstore.Options, writers, ops in
 	wg.Wait()
 	elapsed := time.Since(start)
 	if firstErr != nil {
-		return row, firstErr
+		return a, firstErr
 	}
-	total := writers * perWriter
-	row.OpsPerSec = float64(total) / elapsed.Seconds()
+	a.OpsPerSec = float64(writers*perWriter) / elapsed.Seconds()
 	if st, ok := s.WALStats(); ok && st.Appends > 0 {
-		row.FsyncsPerOp = float64(st.Fsyncs) / float64(st.Appends)
+		a.FsyncsPerOp = float64(st.Fsyncs) / float64(st.Appends)
 		if st.Batches > 0 {
-			row.MeanBatch = float64(st.BatchedRecords) / float64(st.Batches)
+			a.MeanBatch = float64(st.BatchedRecords) / float64(st.Batches)
 		}
-	}
-	return row, nil
-}
-
-// runWritePathTransport measures concurrent RPC throughput with and without
-// multiplexing.
-func runWritePathTransport(callers, calls int) (muxRPS, legacyRPS float64, err error) {
-	measure := func(disableMux bool) (float64, error) {
-		srv, err := transport.ListenTCP("127.0.0.1:0", transport.TCPOptions{DisableMux: disableMux})
-		if err != nil {
-			return 0, err
-		}
-		defer srv.Close()
-		srv.SetHandler(func(ctx context.Context, msg transport.Message) (bson.D, error) {
-			return bson.D{{Key: "ok", Value: true}}, nil
-		})
-		cli, err := transport.ListenTCP("127.0.0.1:0", transport.TCPOptions{DisableMux: disableMux})
-		if err != nil {
-			return 0, err
-		}
-		defer cli.Close()
-		ctx := context.Background()
-		var wg sync.WaitGroup
-		var callErr error
-		var errMu sync.Mutex
-		start := time.Now()
-		for c := 0; c < callers; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < calls; i++ {
-					if _, err := cli.Call(ctx, srv.Addr(), transport.Message{Type: "ping"}); err != nil {
-						errMu.Lock()
-						if callErr == nil {
-							callErr = err
-						}
-						errMu.Unlock()
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if callErr != nil {
-			return 0, callErr
-		}
-		return float64(callers*calls) / time.Since(start).Seconds(), nil
-	}
-	if muxRPS, err = measure(false); err != nil {
-		return 0, 0, err
-	}
-	if legacyRPS, err = measure(true); err != nil {
-		return 0, 0, err
-	}
-	return muxRPS, legacyRPS, nil
-}
-
-// RunWritePathAblation runs the A7 study: each tentpole change toggled
-// independently against the full configuration, plus the seed (both store
-// changes off) as the baseline.
-func RunWritePathAblation(writers, ops int) (WritePathAblation, error) {
-	if writers <= 0 {
-		writers = 64
-	}
-	if ops <= 0 {
-		ops = 2048
-	}
-	a := WritePathAblation{Writers: writers}
-	durable := wal.Options{SyncEveryAppend: true}
-	noGC := wal.Options{SyncEveryAppend: true, GroupCommit: wal.GroupCommit{Disable: true}}
-	configs := []struct {
-		name string
-		opts docstore.Options
-	}{
-		{"full (gc + lock split)", docstore.Options{WAL: durable}},
-		{"no group commit", docstore.Options{WAL: noGC}},
-		{"no lock split", docstore.Options{WAL: durable, SerializeWritePath: true}},
-		{"seed (neither)", docstore.Options{WAL: noGC, SerializeWritePath: true}},
-	}
-	for _, cfg := range configs {
-		row, err := runWritePathStoreConfig(cfg.name, cfg.opts, writers, ops)
-		if err != nil {
-			return a, err
-		}
-		a.Store = append(a.Store, row)
-	}
-	var err error
-	if a.MuxRPS, a.LegacyRPS, err = runWritePathTransport(writers, 50); err != nil {
-		return a, err
 	}
 	return a, nil
 }

@@ -111,33 +111,15 @@ func fig13JSON(r Fig13Result) map[string]any {
 	return out
 }
 
+// writePathJSON emits the A7 durable put storm: throughput and how many
+// records each group fsync covered.
 func writePathJSON(a WritePathAblation) map[string]any {
-	store := make([]map[string]any, 0, len(a.Store))
-	var full, seed float64
-	for _, row := range a.Store {
-		store = append(store, map[string]any{
-			"config":        row.Config,
-			"puts_per_sec":  round2(row.OpsPerSec),
-			"fsyncs_per_op": round2(row.FsyncsPerOp),
-			"mean_batch":    round2(row.MeanBatch),
-		})
-		switch row.Config {
-		case "full (gc + lock split)":
-			full = row.OpsPerSec
-		case "seed (neither)":
-			seed = row.OpsPerSec
-		}
+	return map[string]any{
+		"writers":       a.Writers,
+		"puts_per_sec":  round2(a.OpsPerSec),
+		"fsyncs_per_op": round2(a.FsyncsPerOp),
+		"mean_batch":    round2(a.MeanBatch),
 	}
-	out := map[string]any{
-		"writers":            a.Writers,
-		"store":              store,
-		"mux_req_per_sec":    round2(a.MuxRPS),
-		"legacy_req_per_sec": round2(a.LegacyRPS),
-	}
-	if seed > 0 && full > 0 {
-		out["full_over_seed"] = round2(full / seed)
-	}
-	return out
 }
 
 // readPathJSON emits the A8 rows plus the tail-latency headline: the seed
@@ -182,34 +164,22 @@ func readPathJSON(a ReadPathAblation) map[string]any {
 	return out
 }
 
-// repairJSON emits the A9 rows plus the repair PR's acceptance headlines:
-// seed recovery time over the Merkle+stream recovery time (wants ≥5x), the
-// steady-state digest-cost ratio (O(keys) vs O(log keys)), and foreground
-// read p99 during throttled repair vs quiescent.
+// repairJSON emits the A9 crash recovery (time, reconciliation metadata,
+// streamed volume, steady-state digest cost) and foreground read p99 during
+// throttled repair vs quiescent.
 func repairJSON(a RepairAblation) map[string]any {
-	rows := make([]map[string]any, 0, len(a.Rows))
-	var merkleMs, flatMs, merkleSteady, flatSteady float64
-	for _, row := range a.Rows {
-		rows = append(rows, map[string]any{
-			"config":              row.Config,
-			"lost_replicas":       row.Lost,
-			"recovery_ms":         round2(row.RecoveryMs),
-			"sweeps":              row.Sweeps,
-			"digest_bytes":        row.DigestBytes,
-			"stream_bytes":        row.StreamBytes,
-			"stream_records":      row.StreamRecords,
-			"steady_digest_bytes": row.SteadyDigestBytes,
-		})
-		switch row.Config {
-		case "merkle+stream":
-			merkleMs, merkleSteady = row.RecoveryMs, float64(row.SteadyDigestBytes)
-		case "flat+item (seed)":
-			flatMs, flatSteady = row.RecoveryMs, float64(row.SteadyDigestBytes)
-		}
-	}
-	out := map[string]any{
+	r := a.Recovery
+	return map[string]any{
 		"records": a.Corpus,
-		"rows":    rows,
+		"recovery": map[string]any{
+			"lost_replicas":       r.Lost,
+			"recovery_ms":         round2(r.RecoveryMs),
+			"sweeps":              r.Sweeps,
+			"digest_bytes":        r.DigestBytes,
+			"stream_bytes":        r.StreamBytes,
+			"stream_records":      r.StreamRecords,
+			"steady_digest_bytes": r.SteadyDigestBytes,
+		},
 		"foreground": map[string]any{
 			"repair_bandwidth_bps": a.Foreground.BandwidthBps,
 			"reads":                a.Foreground.Reads,
@@ -218,13 +188,6 @@ func repairJSON(a RepairAblation) map[string]any {
 			"throttle_wait_ms":     round2(a.Foreground.ThrottleWaitMs),
 		},
 	}
-	if merkleMs > 0 && flatMs > 0 {
-		out["seed_over_full_recovery"] = round2(flatMs / merkleMs)
-	}
-	if merkleSteady > 0 && flatSteady > 0 {
-		out["seed_over_full_steady_digest"] = round2(flatSteady / merkleSteady)
-	}
-	return out
 }
 
 // storageJSON emits the A10 rows plus the storage PR's acceptance

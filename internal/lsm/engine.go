@@ -390,7 +390,13 @@ func (e *Engine) Iter(lo, hi []byte, fn func(key, val []byte) bool) error {
 			break
 		}
 	}
-	return iterErr(srcs)
+	err := iterErr(srcs)
+	if err != nil && e.crashed.Load() {
+		// Crash released the table files under this scan; pins keep a
+		// table's data alive, not its file handle.
+		return ErrClosed
+	}
+	return err
 }
 
 // flusher drains the immutable-memtable queue in arrival order.

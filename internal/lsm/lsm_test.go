@@ -425,6 +425,36 @@ func TestEngineCrashMidFlushNeverLoadsTornTable(t *testing.T) {
 	}
 }
 
+// TestIterCrashedUnderScanReturnsErrClosed: a kill -9 (Crash) releases the
+// table files while a scan still holds them pinned; the scan must report
+// ErrClosed, which callers treat as "engine gone", not the raw read error
+// on a closed file.
+func TestIterCrashedUnderScanReturnsErrClosed(t *testing.T) {
+	e, err := Open(Options{Dir: t.TempDir(), Tuning: smallTuning()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := e.Apply([]byte(fmt.Sprintf("k%06d", i)), bytes.Repeat([]byte("v"), 64), uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	crashed := false
+	err = e.Iter(nil, nil, func(k, v []byte) bool {
+		if !crashed {
+			crashed = true
+			e.Crash()
+		}
+		return true
+	})
+	if err != ErrClosed {
+		t.Fatalf("Iter after Crash mid-scan = %v, want ErrClosed", err)
+	}
+}
+
 // TestEngineConcurrentReadsDuringWrites hammers the engine with one writer
 // (the docstore contract) and several readers while flushes and compactions
 // run underneath; run with -race.

@@ -79,7 +79,7 @@ func TestDescentLocalizesDivergence(t *testing.T) {
 	divergedKey := "rec-00042"
 	kh := uint32(hashString(fnvOffset, divergedKey))
 	b.Replace(kh, RecordHash(divergedKey, 0, "", false), RecordHash(divergedKey, 0, "", false)) // no-op sanity
-	b.Add(kh, RecordHash(divergedKey, 99999, "other", false))                                  // extra version on b
+	b.Add(kh, RecordHash(divergedKey, 99999, "other", false))                                   // extra version on b
 
 	wantLeaf := a.Leaf(kh)
 	// Walk the descent exactly as the anti-entropy round does.

@@ -425,18 +425,6 @@ func (c *Coordinator) CallPeer(ctx context.Context, target, msgType string, body
 	return c.callPeer(ctx, target, msgType, body)
 }
 
-// WriteReplicaTo applies rec on target (locally or over the wire),
-// reporting success. The cluster rebalancer uses it to push replicas during
-// migration and re-replication.
-func (c *Coordinator) WriteReplicaTo(ctx context.Context, target string, rec Record) bool {
-	return c.writeReplica(ctx, target, rec)
-}
-
-// ReadReplicaFrom fetches key's record from target (locally or remotely).
-func (c *Coordinator) ReadReplicaFrom(ctx context.Context, target, key string) (Record, bool, error) {
-	return c.readReplica(ctx, target, key)
-}
-
 // writeReplica applies rec on target (locally or over the wire).
 func (c *Coordinator) writeReplica(ctx context.Context, target string, rec Record) bool {
 	if target == c.self {

@@ -12,14 +12,13 @@ import (
 )
 
 // TestDeadlineRidesTheWire checks that a client deadline is visible to the
-// server-side handler's context, in both mux and legacy framing.
+// server-side handler's context.
 func TestDeadlineRidesTheWire(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		opts TCPOptions
 	}{
 		{"mux", TCPOptions{}},
-		{"legacy", TCPOptions{DisableMux: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			srv, err := ListenTCP("127.0.0.1:0", TCPOptions{})

@@ -2,8 +2,13 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
+	"net"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -135,37 +140,46 @@ func TestMuxReconnectsAfterPeerRestart(t *testing.T) {
 	}
 }
 
-// TestMuxLegacyInterop: a DisableMux client must interoperate with a default
-// (mux-capable) server via the length-prefix sniff, and vice versa.
-func TestMuxLegacyInterop(t *testing.T) {
-	legacy, err := ListenTCP("127.0.0.1:0", TCPOptions{DisableMux: true})
+// TestServerClosesNonMuxConnection: a client that opens with an old
+// length-prefixed BSON request frame instead of the "MUX1" magic is cut off
+// unanswered, and its request never reaches the handler.
+func TestServerClosesNonMuxConnection(t *testing.T) {
+	srv, err := ListenTCP("127.0.0.1:0", TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacy.Close()
-	legacy.SetHandler(echoHandler)
-	modern, err := ListenTCP("127.0.0.1:0", TCPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer modern.Close()
-	modern.SetHandler(echoHandler)
+	defer srv.Close()
+	var invoked atomic.Int64
+	srv.SetHandler(func(ctx context.Context, msg Message) (bson.D, error) {
+		invoked.Add(1)
+		return bson.D{}, nil
+	})
 
-	// Legacy client -> mux-capable server.
-	resp, err := legacy.Call(context.Background(), modern.Addr(), Message{Type: "ping"})
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
-		t.Fatalf("legacy->modern: %v", err)
+		t.Fatal(err)
 	}
-	if resp.StringOr("echo", "") != "ping" {
-		t.Fatalf("legacy->modern resp = %s", resp)
-	}
-	// Mux client -> legacy-mode server (serves both wire formats).
-	resp, err = modern.Call(context.Background(), legacy.Addr(), Message{Type: "pong"})
+	defer conn.Close()
+	payload, err := bson.Marshal(bson.D{
+		{Key: "type", Value: "ping"},
+		{Key: "from", Value: "tester"},
+	})
 	if err != nil {
-		t.Fatalf("modern->legacy: %v", err)
+		t.Fatal(err)
 	}
-	if resp.StringOr("echo", "") != "pong" {
-		t.Fatalf("modern->legacy resp = %s", resp)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	if _, err := conn.Write(append(frame, payload...)); err != nil {
+		t.Fatal(err)
+	}
+
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
+	var buf [1]byte
+	n, err := conn.Read(buf[:])
+	if n != 0 || !(errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET)) {
+		t.Fatalf("read = %d bytes, err %v; want the server to close the connection", n, err)
+	}
+	if got := invoked.Load(); got != 0 {
+		t.Fatalf("handler invoked %d times for a non-mux request, want 0", got)
 	}
 }
 
@@ -210,29 +224,6 @@ func BenchmarkTCPCallMux(b *testing.B) {
 	defer srv.Close()
 	srv.SetHandler(echoHandler)
 	cli, err := ListenTCP("127.0.0.1:0", TCPOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cli.Close()
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := cli.Call(ctx, srv.Addr(), Message{Type: "ping"}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkTCPCallLegacy(b *testing.B) {
-	srv, err := ListenTCP("127.0.0.1:0", TCPOptions{DisableMux: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	srv.SetHandler(echoHandler)
-	cli, err := ListenTCP("127.0.0.1:0", TCPOptions{DisableMux: true})
 	if err != nil {
 		b.Fatal(err)
 	}

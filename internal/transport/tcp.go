@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -16,11 +15,12 @@ import (
 	"mystore/internal/trace"
 )
 
-// TCP transport: each request is one length-prefixed BSON frame
-// {"type","from","dl","body"} answered by one {"body"} or {"err"} frame. A
-// small per-destination connection pool amortizes dials, mirroring the
-// paper's connection-pool design for MongoDB access (§5.1): connections are
-// created ahead of use, tested, reused and bounded.
+// TCP transport: each request is one BSON document
+// {"type","from","dl","body"} answered by one {"body"} or {"err"} document,
+// carried over the multiplexed framing in mux.go. Every peer pair shares one
+// long-lived, pipelined connection, which is what remains of the paper's
+// connection-pool design for MongoDB access (§5.1): the connection is dialed
+// once, reused by every call, and redialed only when it breaks.
 //
 // The "dl" element carries the caller's deadline as unix-nanos so the server
 // can bound handler work by it and drop requests whose caller has already
@@ -36,18 +36,6 @@ type TCPOptions struct {
 	// CallTimeout bounds a full request/response exchange when the caller's
 	// context carries no deadline (sockettimeoutms). Zero means 10s.
 	CallTimeout time.Duration
-	// MaxIdlePerHost bounds pooled idle connections per destination. Zero
-	// means 4.
-	MaxIdlePerHost int
-	// DisablePool dials a fresh connection for every call, the behaviour
-	// the paper's connection pool exists to avoid (§5.1); the ablation
-	// bench measures the difference.
-	DisablePool bool
-	// DisableMux reverts to the one-call-per-connection mode: a call checks
-	// a pooled connection out for its whole round trip. The default
-	// multiplexed mode pipelines many in-flight calls over one connection
-	// per peer (see mux.go). Kept for the write-path ablation bench.
-	DisableMux bool
 }
 
 func (o TCPOptions) withDefaults() TCPOptions {
@@ -56,9 +44,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	}
 	if o.CallTimeout <= 0 {
 		o.CallTimeout = 10 * time.Second
-	}
-	if o.MaxIdlePerHost <= 0 {
-		o.MaxIdlePerHost = 4
 	}
 	return o
 }
@@ -71,7 +56,6 @@ type TCPTransport struct {
 
 	mu       sync.Mutex
 	handler  Handler
-	pools    map[string][]net.Conn
 	muxConns map[string]*muxConn
 	serving  map[net.Conn]struct{}
 	closed   bool
@@ -108,7 +92,6 @@ func ListenTCP(addr string, opts TCPOptions) (*TCPTransport, error) {
 		opts:       opts.withDefaults(),
 		listener:   ln,
 		addr:       ln.Addr().String(),
-		pools:      make(map[string][]net.Conn),
 		muxConns:   make(map[string]*muxConn),
 		serving:    make(map[net.Conn]struct{}),
 		rpcLatency: metrics.NewHistogramVec(nil),
@@ -156,30 +139,13 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 		delete(t.serving, conn)
 		t.mu.Unlock()
 	}()
-	// Mode sniff: a mux client opens with the "MUX1" magic; a legacy client's
-	// first 4 bytes are a length prefix (first byte ≤ 0x03 under the 64 MiB
-	// frame limit), so the two are unambiguous.
+	// A client opens with the "MUX1" magic; anything else is not a peer this
+	// transport can talk to, so the connection is closed unanswered.
 	var lead [4]byte
-	if _, err := io.ReadFull(conn, lead[:]); err != nil {
+	if _, err := io.ReadFull(conn, lead[:]); err != nil || string(lead[:]) != muxMagic {
 		return
 	}
-	if string(lead[:]) == muxMagic {
-		t.serveMux(conn)
-		return
-	}
-	t.serveLegacy(conn, lead)
-}
-
-// serveLegacy answers one-frame-per-call clients; lead holds the already-read
-// length prefix of the first request.
-func (t *TCPTransport) serveLegacy(conn net.Conn, lead [4]byte) {
-	frame, err := readFrameBody(conn, lead)
-	for ; err == nil; frame, err = readFrame(conn) {
-		resp := t.handleRequest(frame)
-		if werr := writeFrame(conn, resp); werr != nil {
-			return
-		}
-	}
+	t.serveMux(conn)
 }
 
 // Call implements Transport.
@@ -194,61 +160,11 @@ func (t *TCPTransport) Call(ctx context.Context, to string, msg Message) (bson.D
 }
 
 func (t *TCPTransport) call(ctx context.Context, to string, msg Message) (bson.D, error) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, ErrClosed
-	}
-	t.mu.Unlock()
-
 	deadline, hasDeadline := ctx.Deadline()
 	if !hasDeadline {
 		deadline = time.Now().Add(t.opts.CallTimeout)
 	}
-
-	if !t.opts.DisableMux {
-		return t.callMux(ctx, to, msg, deadline)
-	}
-
-	conn, err := t.getConn(to)
-	if err != nil {
-		return nil, fmt.Errorf("%w: dial %s: %v", ErrUnreachable, to, err)
-	}
-	ok := false
-	defer func() {
-		if ok {
-			t.putConn(to, conn)
-		} else {
-			conn.Close()
-		}
-	}()
-
-	if err := conn.SetDeadline(deadline); err != nil {
-		return nil, err
-	}
-	req := requestDoc(ctx, t.addr, msg, deadline)
-	if err := writeFrame(conn, req); err != nil {
-		return nil, classifyNetErr(err)
-	}
-	frame, err := readFrame(conn)
-	if err != nil {
-		return nil, classifyNetErr(err)
-	}
-	resp, err := bson.Unmarshal(frame)
-	if err != nil {
-		return nil, err
-	}
-	if msg, found := resp.Get("err"); found {
-		s, _ := msg.(string)
-		return nil, &RemoteError{Msg: s}
-	}
-	ok = true
-	if b, found := resp.Get("body"); found {
-		if body, isDoc := b.(bson.D); isDoc {
-			return body, nil
-		}
-	}
-	return nil, nil
+	return t.callMux(ctx, to, msg, deadline)
 }
 
 func classifyNetErr(err error) error {
@@ -259,39 +175,8 @@ func classifyNetErr(err error) error {
 	return fmt.Errorf("%w: %v", ErrUnreachable, err)
 }
 
-func (t *TCPTransport) getConn(to string) (net.Conn, error) {
-	if t.opts.DisablePool {
-		return net.DialTimeout("tcp", to, t.opts.DialTimeout)
-	}
-	t.mu.Lock()
-	pool := t.pools[to]
-	if n := len(pool); n > 0 {
-		conn := pool[n-1]
-		t.pools[to] = pool[:n-1]
-		t.mu.Unlock()
-		return conn, nil
-	}
-	t.mu.Unlock()
-	return net.DialTimeout("tcp", to, t.opts.DialTimeout)
-}
-
-func (t *TCPTransport) putConn(to string, conn net.Conn) {
-	if t.opts.DisablePool {
-		conn.Close()
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed || len(t.pools[to]) >= t.opts.MaxIdlePerHost {
-		conn.Close()
-		return
-	}
-	conn.SetDeadline(time.Time{}) //nolint:errcheck
-	t.pools[to] = append(t.pools[to], conn)
-}
-
-// Close implements Transport: it stops the listener, drops pooled
-// connections and waits for in-flight handlers.
+// Close implements Transport: it stops the listener, fails outstanding
+// calls and waits for in-flight handlers.
 func (t *TCPTransport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -299,16 +184,10 @@ func (t *TCPTransport) Close() error {
 		return nil
 	}
 	t.closed = true
-	for _, pool := range t.pools {
-		for _, c := range pool {
-			c.Close()
-		}
-	}
-	t.pools = make(map[string][]net.Conn)
 	muxConns := t.muxConns
 	t.muxConns = make(map[string]*muxConn)
-	// Force-close active server connections: an idle peer keeps its pooled
-	// connection open, which would otherwise park serveConn in readFrame
+	// Force-close active server connections: an idle peer keeps its mux
+	// connection open, which would otherwise park serveConn in its read
 	// forever.
 	for c := range t.serving {
 		c.Close()
@@ -344,41 +223,4 @@ func requestDoc(ctx context.Context, from string, msg Message, deadline time.Tim
 		req = append(req, bson.E{Key: "body", Value: msg.Body})
 	}
 	return req
-}
-
-func writeFrame(w io.Writer, doc bson.D) error {
-	bufp := framePool.Get().(*[]byte)
-	buf := append((*bufp)[:0], 0, 0, 0, 0)
-	out, err := bson.AppendTo(buf, doc)
-	if err != nil {
-		framePool.Put(bufp)
-		return err
-	}
-	binary.BigEndian.PutUint32(out[:4], uint32(len(out)-4))
-	_, err = w.Write(out)
-	*bufp = out[:0]
-	framePool.Put(bufp)
-	return err
-}
-
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	return readFrameBody(r, hdr)
-}
-
-// readFrameBody finishes reading a frame whose length prefix is already in
-// hdr (the server's mode sniff consumes it before dispatching).
-func readFrameBody(r io.Reader, hdr [4]byte) ([]byte, error) {
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
-	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return nil, err
-	}
-	return frame, nil
 }

@@ -8,8 +8,8 @@
 //     and pluggable fault injection, used by the experiments so that the
 //     paper's failure scenarios (Table 2) are deterministic and
 //     laptop-scale.
-//   - TCP: length-prefixed BSON frames over real sockets, with a tested
-//     connection pool, used by the cmd/ binaries.
+//   - TCP: BSON requests multiplexed over one reused, pipelined connection
+//     per peer, used by the cmd/ binaries.
 package transport
 
 import (

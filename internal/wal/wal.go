@@ -51,8 +51,7 @@ type Options struct {
 	// experiments run with this off (matching MongoDB 1.6's default
 	// non-durable writes); the crash-recovery tests and durable deployments
 	// turn it on. With it on, concurrent appenders share fsyncs through the
-	// group-commit protocol unless GroupCommit.Disable reverts to one fsync
-	// per append.
+	// group-commit protocol.
 	SyncEveryAppend bool
 	// MaxRecordSize bounds one record. Zero means 32 MiB.
 	MaxRecordSize int
@@ -75,9 +74,6 @@ type GroupCommit struct {
 	// classic self-clocking group commit, and the right default — an idle
 	// log gets per-append latency, a busy log gets big batches).
 	MaxDelay time.Duration
-	// Disable reverts to the seed behaviour: one fsync per append inside
-	// the append lock (kept for the write-path ablation bench).
-	Disable bool
 }
 
 func (o Options) withDefaults() Options {
@@ -295,16 +291,14 @@ func (l *Log) rollSegment() error {
 // Append writes one record and returns its LSN. With SyncEveryAppend it
 // does not return until the record is on stable storage; concurrent
 // appenders share fsyncs through the group-commit protocol (one leader
-// syncs for the whole cohort) unless GroupCommit.Disable is set.
+// syncs for the whole cohort).
 func (l *Log) Append(rec []byte) (LSN, error) {
 	lsn, err := l.AppendNoWait(rec)
 	if err != nil {
 		return 0, err
 	}
-	if l.opts.SyncEveryAppend && !l.opts.GroupCommit.Disable {
-		if err := l.WaitDurable(lsn); err != nil {
-			return 0, err
-		}
+	if err := l.WaitDurable(lsn); err != nil {
+		return 0, err
 	}
 	return lsn, nil
 }
@@ -338,17 +332,6 @@ func (l *Log) AppendNoWait(rec []byte) (LSN, error) {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	l.appends.Inc()
-	if l.opts.SyncEveryAppend && l.opts.GroupCommit.Disable {
-		// Seed behaviour: one fsync per record, inside the append lock.
-		start := time.Now()
-		if err := l.file.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: sync: %w", err)
-		}
-		l.fsyncDur.ObserveDuration(time.Since(start))
-		l.batchSize.Observe(1)
-		l.fsyncs.Inc()
-		l.markDurable(l.next)
-	}
 	lsn := l.next
 	l.next++
 	l.size += int64(len(buf))
